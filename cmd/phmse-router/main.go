@@ -43,7 +43,7 @@ func main() {
 		drainDL      = flag.Duration("drain-deadline", 30*time.Second, "default wait for a draining shard's in-flight jobs before migration proceeds")
 		migrTimeout  = flag.Duration("migrate-timeout", 10*time.Second, "per-posterior transfer timeout during migration passes")
 		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20% (negative disables the loop)")
-		repairConc   = flag.Int("repair-concurrency", 2, "max concurrent posterior transfers per repair sweep")
+		repairConc   = flag.Int("repair-concurrency", 2, "max concurrent posterior transfers per convergence pass (repair sweeps, adds, and drains)")
 		brkFailures  = flag.Int("breaker-failures", 3, "consecutive live-forward failures that open a shard's circuit breaker (-1 disables breaking)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open trial request is admitted")
 		flapCount    = flag.Int("breaker-flap-count", 3, "ring readmissions within the flap window that quarantine a shard (-1 disables flap suppression)")

@@ -71,7 +71,8 @@ type AddShardRequest struct {
 	Base string `json:"base"`
 }
 
-// MigrationReport summarizes one posterior migration pass.
+// MigrationReport summarizes the convergence pass one membership change
+// ran.
 type MigrationReport struct {
 	// Migrated counts posteriors streamed to their new owner and deleted
 	// from the source after the destination acknowledged.
@@ -79,8 +80,9 @@ type MigrationReport struct {
 	// Failed counts posteriors left intact on the source because export,
 	// import, or the source index itself failed — no ack, no delete.
 	Failed int `json:"failed"`
-	// Skipped counts posteriors that did not need to move (or had no
-	// routing key, or no destination existed).
+	// Skipped counts posteriors that could not move: no routing key, no
+	// owner (an empty ring), or an owner fenced by a drain or found dead.
+	// Posteriors already at their owner are not counted.
 	Skipped int   `json:"skipped"`
 	Bytes   int64 `json:"bytes"`
 }

@@ -9,8 +9,22 @@ package encode
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 )
+
+// KeyHash positions a routing key or virtual-node label on the ring:
+// the first 8 bytes of its sha256, big endian. sha256 rather than a
+// cheaper hash because routing keys are content hashes that must spread
+// uniformly, and ring construction is off the hot path. Everything that
+// places keys — the router's ring and any out-of-process oracle of it —
+// must agree on this function exactly: a key hashed differently would be
+// placed on (or looked for at) the wrong shard.
+func KeyHash(s string) uint64 {
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
+}
 
 // SolveRouting extracts the routing decision of a solve request without
 // acting on it: the consistent-hash key (the problem's TopologyHash) and

@@ -60,3 +60,18 @@ func TestSolveRouting(t *testing.T) {
 		t.Fatal("problem-less request produced a routing key")
 	}
 }
+
+func TestKeyHashDeterministic(t *testing.T) {
+	if KeyHash("a") != KeyHash("a") {
+		t.Fatal("KeyHash not deterministic")
+	}
+	if KeyHash("a") == KeyHash("b") {
+		t.Fatal("KeyHash collides on trivial inputs")
+	}
+	// Pinned value: KeyHash is a wire-level contract between the router's
+	// placement and the migration diff; changing it silently would strand
+	// every persisted posterior on the wrong shard after an upgrade.
+	if got := KeyHash("job-000001"); got != 0x9e2991daf3ff471c {
+		t.Fatalf("KeyHash(\"job-000001\") = %#x; the hash function changed", got)
+	}
+}

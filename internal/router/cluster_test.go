@@ -266,7 +266,7 @@ func TestTwoRouterRepairLease(t *testing.T) {
 	ctx := context.Background()
 
 	tr.a.repairTick()
-	if got := tr.a.repairSweeps.Load(); got != 1 {
+	if got := tr.a.repair.passes.Load(); got != 1 {
 		t.Fatalf("lease holder ran %d sweeps, want 1", got)
 	}
 	if !tr.a.cnode.HoldsLease(time.Now()) {
@@ -276,7 +276,7 @@ func TestTwoRouterRepairLease(t *testing.T) {
 
 	// b's tick inside the TTL observes a's live lease and skips.
 	tr.b.repairTick()
-	if got := tr.b.repairSweeps.Load(); got != 0 {
+	if got := tr.b.repair.passes.Load(); got != 0 {
 		t.Fatalf("two sweepers in one interval: b ran %d sweeps", got)
 	}
 	if got := tr.b.leaseSkips.Load(); got != 1 {
@@ -286,7 +286,7 @@ func TestTwoRouterRepairLease(t *testing.T) {
 	// Once the lease expires un-renewed, b's next tick takes it over.
 	time.Sleep(300 * time.Millisecond)
 	tr.b.repairTick()
-	if got := tr.b.repairSweeps.Load(); got != 1 {
+	if got := tr.b.repair.passes.Load(); got != 1 {
 		t.Fatalf("b did not sweep after lease expiry: %d sweeps", got)
 	}
 	if !tr.b.cnode.HoldsLease(time.Now()) {

@@ -81,10 +81,10 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
 	var hs, rs encode.HealthStatus
-	alive := rt.probeGet(pctx, sh, "/healthz", &hs)
+	alive, _ := rt.probeGet(pctx, sh, "/healthz", &hs)
 	ready := false
 	if alive {
-		ready = rt.probeGet(pctx, sh, "/readyz", &rs)
+		ready, _ = rt.probeGet(pctx, sh, "/readyz", &rs)
 	}
 	if hs.InstanceID != "" {
 		rt.learnInstance(hs.InstanceID, sh)
@@ -195,19 +195,22 @@ func (rt *Router) resetProbation(sh *shard) {
 	sh.probationLeft = p
 }
 
-// probeGet fetches one health endpoint, best-effort decoding the document.
-func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus) bool {
+// probeGet fetches one health endpoint, best-effort decoding the
+// document. ok reports a 200; answered reports a decodable document
+// whatever the status — a draining or saturated 503 still carries the
+// occupancy the quiesce wait needs.
+func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus) (ok, answered bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+path, nil)
 	if err != nil {
-		return false
+		return false, false
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		return false
+		return false, false
 	}
 	defer resp.Body.Close()
-	json.NewDecoder(resp.Body).Decode(out) //nolint:errcheck
-	return resp.StatusCode == http.StatusOK
+	answered = json.NewDecoder(resp.Body).Decode(out) == nil
+	return resp.StatusCode == http.StatusOK, answered
 }
 
 // eject drops a shard from the ring after a forwarding transport failure,

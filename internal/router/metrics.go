@@ -81,11 +81,12 @@ type MetricsCluster struct {
 	Peers []encode.ClusterPeer `json:"peers,omitempty"`
 }
 
-// MetricsMigration tallies the posterior migration passes run by admin
+// MetricsMigration tallies the convergence passes run by admin
 // membership changes.
 type MetricsMigration struct {
-	// Passes counts migration passes (one per effective membership
-	// change); Migrated/Failed/Skipped count posteriors across all of
+	// Passes counts membership passes: one per add, reactivation, and
+	// drain (or drain-mode removal), even one whose ring change remaps
+	// nothing. Migrated/Failed/Skipped count posteriors across all of
 	// them, Bytes the payload moved.
 	Passes   int64 `json:"passes"`
 	Migrated int64 `json:"migrated"`
@@ -155,17 +156,17 @@ func (rt *Router) Snapshot() Metrics {
 		Saturated:          rt.saturated.Load(),
 		BreakerRefused:     rt.breakerRefused.Load(),
 		Repair: MetricsRepair{
-			Sweeps:   rt.repairSweeps.Load(),
-			Repaired: rt.repairRepaired.Load(),
-			Failed:   rt.repairFailed.Load(),
-			Skipped:  rt.repairSkipped.Load(),
+			Sweeps:   rt.repair.passes.Load(),
+			Repaired: rt.repair.moved.Load(),
+			Failed:   rt.repair.failed.Load(),
+			Skipped:  rt.repair.skipped.Load(),
 		},
 		Migration: MetricsMigration{
-			Passes:   rt.migrPasses.Load(),
-			Migrated: rt.migrMigrated.Load(),
-			Failed:   rt.migrFailed.Load(),
-			Skipped:  rt.migrSkipped.Load(),
-			Bytes:    rt.migrBytes.Load(),
+			Passes:   rt.migr.passes.Load(),
+			Migrated: rt.migr.moved.Load(),
+			Failed:   rt.migr.failed.Load(),
+			Skipped:  rt.migr.skipped.Load(),
+			Bytes:    rt.migr.bytes.Load(),
 		},
 	}
 	cs := rt.cnode.Snapshot()

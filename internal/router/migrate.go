@@ -1,14 +1,15 @@
 package router
 
-// Membership mutation and the posterior migration engine. Every
+// Membership mutation and the posterior transfer protocol. Every
 // membership change follows the same shape:
 //
-//  1. capture the current ring generation,
-//  2. mutate membership (append a shard / fence one behind a drain state),
-//  3. rebuild the ring under rebuildMu,
-//  4. run a migration pass against the old-vs-new ring diff: stream each
-//     remapped posterior from its losing shard to its new owner, deleting
-//     the source copy only after the destination acknowledged the import.
+//  1. mutate membership (append a shard / fence one behind a drain state),
+//  2. rebuild the ring under rebuildMu,
+//  3. run one convergence pass (converge, repair.go) under the new ring:
+//     stream each misplaced posterior from its holder to its ring owner,
+//     deleting the source copy only after the destination acknowledged
+//     the import. An add or reactivation passes every live member as a
+//     source; a drain passes just the departing shard.
 //
 // The pass is idempotent and fail-safe by construction: a transfer that
 // dies anywhere before the destination's 2xx leaves the source snapshot
@@ -41,9 +42,10 @@ var errShardExists = errors.New("router: shard is already an active member")
 var errOversizeTransfer = errors.New("router: transfer body exceeds the protocol limit")
 
 // addShard registers a new backend (or reactivates a drained member) and
-// rebalances remapped posteriors onto it. The new shard enters pessimistic
-// (out of the ring) and is admitted by a synchronous probe, so a dead base
-// URL is registered but owns no arcs until it answers.
+// converges every live member's posteriors onto the grown ring. The new
+// shard enters pessimistic (out of the ring) and is admitted by a
+// synchronous probe, so a dead base URL is registered but owns no arcs
+// until it answers.
 func (rt *Router) addShard(ctx context.Context, base string) (*encode.AddShardResponse, error) {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
@@ -60,19 +62,18 @@ func (rt *Router) addShard(ctx context.Context, base string) (*encode.AddShardRe
 			return nil, errShardExists
 		}
 		// Reactivation: lift the drain fence (in the document first, then
-		// locally), re-probe, and migrate the shard's old arcs (and their
-		// posteriors) back onto it.
+		// locally), re-probe, and converge — the shard's old arcs (and
+		// their posteriors) come back onto it.
 		rt.mutateDoc(func(doc *encode.ClusterDoc) bool {
 			cluster.SetMember(doc, encode.ClusterMember{Base: sh.name, Quarantines: quarantines})
 			return true
 		})
-		oldRing := rt.currentRing()
 		rt.probeShard(ctx, sh)
 		rt.rebuildRing()
-		rep := rt.rebalance(ctx, oldRing, rt.currentRing(), nil)
+		rep := rt.migrate(ctx, rt.liveSources())
 		rt.aud.append(encode.AuditEntry{
 			Op: "reactivate", Shard: sh.name, Origin: rt.cfg.ReplicaID,
-			Outcome: migrationOutcome(rep), Migrated: rep.Migrated, Failed: rep.Failed,
+			Outcome: passOutcome(rep.Failed), Migrated: rep.Migrated, Failed: rep.Failed,
 		})
 		return &encode.AddShardResponse{Shard: rt.shardInfo(sh), Reactivated: true, Migration: rep}, nil
 	}
@@ -81,7 +82,6 @@ func (rt *Router) addShard(ctx context.Context, base string) (*encode.AddShardRe
 		cluster.SetMember(doc, encode.ClusterMember{Base: base})
 		return true
 	})
-	oldRing := rt.currentRing()
 	sh := &shard{name: base, base: base}
 	rt.mu.Lock()
 	rt.shards = append(rt.shards, sh)
@@ -90,32 +90,33 @@ func (rt *Router) addShard(ctx context.Context, base string) (*encode.AddShardRe
 	// The probe rebuilds only on a readiness transition; rebuild once more
 	// unconditionally so the install is never skipped.
 	rt.rebuildRing()
-	rep := rt.rebalance(ctx, oldRing, rt.currentRing(), nil)
+	rep := rt.migrate(ctx, rt.liveSources())
 	rt.aud.append(encode.AuditEntry{
 		Op: "add", Shard: sh.name, Origin: rt.cfg.ReplicaID,
-		Outcome: migrationOutcome(rep), Migrated: rep.Migrated, Failed: rep.Failed,
+		Outcome: passOutcome(rep.Failed), Migrated: rep.Migrated, Failed: rep.Failed,
 	})
 	return &encode.AddShardResponse{Shard: rt.shardInfo(sh), Migration: rep}, nil
 }
 
-// migrationOutcome condenses a migration pass for the audit log.
-func migrationOutcome(rep encode.MigrationReport) string {
-	if rep.Failed > 0 {
-		return "partial"
+// migrate runs a membership change's convergence pass over sources under
+// the current ring and reports it as a migration. A pass that left
+// posteriors behind should not wait out the repair interval: it kicks an
+// immediate anti-entropy sweep to re-drive them.
+func (rt *Router) migrate(ctx context.Context, sources []*shard) encode.MigrationReport {
+	t := rt.converge(ctx, rt.currentRing(), sources)
+	rt.migr.record(t)
+	if t.failed > 0 {
+		rt.kickRepair()
 	}
-	return "ok"
+	return encode.MigrationReport{Migrated: t.moved, Failed: t.failed, Skipped: t.skipped, Bytes: t.bytes}
 }
 
 // drainOutcome condenses a drain/remove report for the audit log.
 func drainOutcome(rep *encode.DrainReport) string {
-	switch {
-	case rep.TimedOut:
+	if rep.TimedOut {
 		return "timed_out"
-	case rep.Migration.Failed > 0:
-		return "partial"
-	default:
-		return "ok"
 	}
+	return passOutcome(rep.Migration.Failed)
 }
 
 // removeShard ejects a member. mode "drain" fences the shard, waits for
@@ -145,13 +146,11 @@ func (rt *Router) removeShard(ctx context.Context, sh *shard, mode string, deadl
 		}
 		return true
 	})
-	oldRing := rt.currentRing()
 	rt.rebuildRing() // fence: the shard owns no arcs, new solves stop landing
-	newRing := rt.currentRing()
 
 	if mode == "drain" {
 		rep.TimedOut, rep.WaitedMillis, rep.InflightAtEnd = rt.awaitQuiesce(ctx, sh, deadline)
-		rep.Migration = rt.rebalance(ctx, oldRing, newRing, sh)
+		rep.Migration = rt.migrate(ctx, []*shard{sh})
 	}
 
 	rt.mutateDoc(func(doc *encode.ClusterDoc) bool {
@@ -206,11 +205,10 @@ func (rt *Router) drainShard(ctx context.Context, sh *shard, deadline time.Durat
 		m.DrainState = "draining"
 		return true
 	})
-	oldRing := rt.currentRing()
 	rt.rebuildRing()
 	if !already {
 		rep.TimedOut, rep.WaitedMillis, rep.InflightAtEnd = rt.awaitQuiesce(ctx, sh, deadline)
-		rep.Migration = rt.rebalance(ctx, oldRing, rt.currentRing(), sh)
+		rep.Migration = rt.migrate(ctx, []*shard{sh})
 	}
 	sh.mu.Lock()
 	sh.drain = "drained"
@@ -243,7 +241,7 @@ func (rt *Router) awaitQuiesce(ctx context.Context, sh *shard, deadline time.Dur
 	for {
 		var rs encode.HealthStatus
 		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-		answered := rt.probeGetAny(pctx, sh, "/readyz", &rs)
+		_, answered := rt.probeGet(pctx, sh, "/readyz", &rs)
 		cancel()
 		if answered {
 			failures = 0
@@ -269,91 +267,6 @@ func (rt *Router) awaitQuiesce(ctx context.Context, sh *shard, deadline time.Dur
 	}
 }
 
-// probeGetAny fetches a health endpoint accepting any decodable response
-// (unlike probeGet it does not require a 200 — a draining or saturated
-// 503 still carries the occupancy the quiesce wait needs).
-func (rt *Router) probeGetAny(ctx context.Context, sh *shard, path string, out *encode.HealthStatus) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+path, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out) == nil
-}
-
-// rebalance runs one posterior migration pass between two ring
-// generations. With only == nil (a shard joined) every live member's index
-// is scanned and the old-vs-new arc diff prefilters which posteriors
-// could have remapped; with only set (that shard is leaving) just its
-// index is scanned and every posterior moves — a departing shard owns
-// nothing under the new ring, so the arc diff is beside the point.
-func (rt *Router) rebalance(ctx context.Context, oldRing, newRing *ring, only *shard) encode.MigrationReport {
-	rep := encode.MigrationReport{}
-	arcs := encode.ChangedArcs(oldRing.encodePoints(), newRing.encodePoints())
-	var sources []*shard
-	if only != nil {
-		sources = []*shard{only}
-	} else {
-		if !arcs.Any() {
-			return rep // same routing: nothing can have remapped
-		}
-		for _, sh := range rt.shardList() {
-			if sh.isAlive() {
-				sources = append(sources, sh)
-			}
-		}
-	}
-	rt.migrPasses.Add(1)
-	for _, src := range sources {
-		idx, err := rt.fetchPosteriorIndex(ctx, src, "")
-		if err != nil {
-			log.Printf("phmse-router: migration: indexing %s: %v", src.name, err)
-			rep.Failed++
-			rt.migrFailed.Add(1)
-			continue
-		}
-		for _, info := range idx.Posteriors {
-			if info.TopologyHash == "" {
-				rep.Skipped++
-				rt.migrSkipped.Add(1)
-				continue
-			}
-			if only == nil && !arcs.Contains(encode.KeyHash(info.TopologyHash)) {
-				continue
-			}
-			dst := newRing.lookup(info.TopologyHash)
-			if dst == nil || dst == src {
-				// No destination (empty ring) or the key still lives here.
-				if only != nil || dst == nil {
-					rep.Skipped++
-					rt.migrSkipped.Add(1)
-				}
-				continue
-			}
-			if err := rt.transferPosterior(ctx, src, dst, info); err != nil {
-				log.Printf("phmse-router: migrating %s (%s -> %s): %v", info.Job, src.name, dst.name, err)
-				rep.Failed++
-				rt.migrFailed.Add(1)
-				continue
-			}
-			rep.Migrated++
-			rep.Bytes += info.Bytes
-			rt.migrMigrated.Add(1)
-			rt.migrBytes.Add(info.Bytes)
-		}
-	}
-	// A pass that left posteriors behind should not wait out the repair
-	// interval: kick an immediate anti-entropy sweep to re-drive them.
-	if rep.Failed > 0 {
-		rt.kickRepair()
-	}
-	return rep
-}
-
 // transferPosterior moves one retained posterior: export the document
 // from the source, import it into the destination, and delete the source
 // copy only after the destination's ack. Any failure before the ack
@@ -367,34 +280,41 @@ func (rt *Router) rebalance(ctx context.Context, oldRing, newRing *ring, only *s
 // multi-megabyte covariance document streams through back-pressured by
 // the destination. A streamed body cannot be replayed, so the retry
 // policy wraps the whole export+import pair: each attempt re-opens the
-// export. Transient faults — transport errors, 5xx bursts, 429
-// backpressure — back off and retry inside MigrateTimeout (floored by
-// any Retry-After the backend sent); 507 posterior_budget, other 4xx,
-// and an oversize body stay terminal on first sight. The PUT is safe to
-// replay: an import of the same id replaces the entry in place.
+// export, inside MigrateTimeout. The PUT is safe to replay: an import of
+// the same id replaces the entry in place.
 func (rt *Router) transferPosterior(ctx context.Context, src, dst *shard, info encode.PosteriorInfo) error {
 	tctx, cancel := context.WithTimeout(ctx, rt.cfg.MigrateTimeout)
 	defer cancel()
 	esc := url.PathEscape(info.Job)
+	if err := rt.retry(tctx, func() (bool, error) { return rt.streamPosterior(tctx, src, dst, esc) }); err != nil {
+		return err
+	}
+	if _, err := rt.adminDo(tctx, http.MethodDelete, src.base+"/v1/posteriors/"+esc, nil); err != nil {
+		log.Printf("phmse-router: migration: deleting %s from %s after ack: %v", info.Job, src.name, err)
+	}
+	return nil
+}
 
+// retry runs attempt under the transfer retry policy, the one loop every
+// transfer-protocol request shares. Every protocol request is replay-safe
+// — the index and export are reads, the import replaces the same id in
+// place, the delete is naturally idempotent — so an attempt that reports
+// its failure retryable backs off (floored by any Retry-After the backend
+// sent) and runs again, up to MaxAttempts; a terminal failure returns on
+// first sight.
+func (rt *Router) retry(ctx context.Context, attempt func() (retryable bool, err error)) error {
 	var last error
 	attempts := rt.cfg.Retry.MaxAttempts
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			select {
 			case <-time.After(rt.cfg.Retry.Delay(i-1, last)):
-			case <-tctx.Done():
-				return fmt.Errorf("%w (last: %v)", tctx.Err(), last)
+			case <-ctx.Done():
+				return fmt.Errorf("%w (last: %v)", ctx.Err(), last)
 			}
 		}
-		retryable, err := rt.streamPosterior(tctx, src, dst, esc)
-		if err == nil {
-			if _, derr := rt.adminDo(tctx, http.MethodDelete, src.base+"/v1/posteriors/"+esc, nil); derr != nil {
-				log.Printf("phmse-router: migration: deleting %s from %s after ack: %v", info.Job, src.name, derr)
-			}
-			return nil
-		}
-		if !retryable {
+		retryable, err := attempt()
+		if err == nil || !retryable {
 			return err
 		}
 		last = err
@@ -469,14 +389,14 @@ func (rt *Router) authTransfer(req *http.Request) {
 
 // classifyTransferResponse shapes a non-2xx transfer response as a
 // *client.APIError (so RetryPolicy.Delay honours Retry-After) and
-// decides retryability under the adminDo rules: 429 and 5xx retry, 507
-// and other 4xx are terminal.
+// decides retryability: 429 backpressure and 5xx retry; 507
+// posterior_budget (a full store does not drain on the retry timescale;
+// the pass counts the posterior failed and moves on) and any other 4xx
+// (the request itself is wrong) are terminal.
 func classifyTransferResponse(resp *http.Response) (retryable bool, err error) {
 	var retryAfter time.Duration
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if secs, aerr := strconv.Atoi(v); aerr == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
+	if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
+		retryAfter = time.Duration(secs) * time.Second
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	retryable = resp.StatusCode == http.StatusTooManyRequests ||
@@ -504,90 +424,47 @@ func (c *capReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// adminDo issues one migration-protocol request, presenting the router's
-// admin token, and returns the response body of a 2xx. Transport errors,
-// 5xx responses, and 429 backpressure retry under the configured policy —
-// with the backoff floored by any Retry-After the backend sent — because
-// every protocol request is replay-safe: the index and export are reads,
-// the import replaces the same id in place, and the delete is naturally
-// idempotent. Three rejections stay terminal on first sight: 507
-// posterior_budget (a full store does not drain on the retry timescale;
-// the sweep counts the posterior failed and moves on), any other 4xx
-// (the request itself is wrong), and a response over the protocol's
-// transfer size limit (the document can never fit, and a truncated read
-// must never be passed off as the export).
-func (rt *Router) adminDo(ctx context.Context, method, u string, body []byte) ([]byte, error) {
-	var last error
-	attempts := rt.cfg.Retry.MaxAttempts
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			select {
-			case <-time.After(rt.cfg.Retry.Delay(i-1, last)):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("%w (last: %v)", ctx.Err(), last)
-			}
+// adminDo issues one transfer-protocol request, presenting the router's
+// admin token, and returns the response body of a 2xx. Transport errors
+// retry under the shared policy and non-2xx responses are classified by
+// classifyTransferResponse. A 2xx body over the protocol's transfer size
+// limit is terminal: the document can never fit, and a truncated read
+// must never be passed off as the export.
+func (rt *Router) adminDo(ctx context.Context, method, u string, body []byte) (data []byte, err error) {
+	err = rt.retry(ctx, func() (bool, error) {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-		status, retryAfter, data, err := rt.adminDoOnce(ctx, method, u, body)
+		req, err := http.NewRequestWithContext(ctx, method, u, rd)
 		if err != nil {
-			if errors.Is(err, errOversizeTransfer) {
-				return nil, err // the document can never fit; don't re-download it
-			}
-			last = err
-			continue
+			return false, err
 		}
-		if status >= 200 && status <= 299 {
-			return data, nil
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
 		}
-		herr := transferError(status, retryAfter, data)
-		if status == http.StatusTooManyRequests ||
-			(status >= 500 && status != http.StatusInsufficientStorage) {
-			last = herr
-			continue
+		rt.authTransfer(req)
+		resp, err := rt.hc.Do(req)
+		if err != nil {
+			return true, err
 		}
-		return nil, herr // 507 and any 4xx: terminal
-	}
-	return nil, fmt.Errorf("after %d attempts: %w", attempts, last)
-}
-
-// adminDoOnce is one attempt: transport errors in err, everything else as
-// a status + parsed Retry-After + body.
-func (rt *Router) adminDoOnce(ctx context.Context, method, u string, body []byte) (int, time.Duration, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+		defer resp.Body.Close()
+		if resp.StatusCode < 200 || resp.StatusCode > 299 {
+			return classifyTransferResponse(resp)
+		}
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBody+1))
+		if err != nil {
+			return true, err
+		}
+		if len(data) > maxRequestBody {
+			return false, fmt.Errorf("%s %s: %d-byte response: %w", method, u, maxRequestBody, errOversizeTransfer)
+		}
+		return false, nil
+	})
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if rt.cfg.AdminToken != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.cfg.AdminToken)
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	defer resp.Body.Close()
-	var retryAfter time.Duration
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if secs, err := strconv.Atoi(v); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody+1))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(data) > maxRequestBody {
-		// A silently truncated export would be re-imported as a corrupt
-		// document; surface the limit instead so the transfer fails loudly
-		// and the source copy stays intact.
-		return 0, 0, nil, fmt.Errorf("%s %s: %d-byte response: %w", method, u, maxRequestBody, errOversizeTransfer)
-	}
-	return resp.StatusCode, retryAfter, data, nil
+	return data, nil
 }
 
 // transferError shapes a non-2xx transfer response as a *client.APIError,

@@ -1,24 +1,30 @@
 package router
 
-// The anti-entropy repair loop: the active half of the self-healing
-// layer. Migration passes (migrate.go) move posteriors when membership
-// changes, but a transfer that fails — destination down mid-stream,
-// import rejected, source briefly unreachable — strands the posterior on
-// a shard the ring no longer maps it to, and a shard that crashed and
-// rejoined holds (and misses) posteriors the ring reassigned while it was
-// away. Rather than waiting for the next membership change to retry, the
-// repair sweeper periodically rebuilds the truth from scratch: index
-// every live shard's holdings, diff each posterior against current ring
-// ownership, and re-drive the misplaced ones through the same
-// ack-before-delete transfer protocol. The sweep is idempotent and
-// convergent — running it twice is merely wasteful, and any interrupted
-// transfer leaves the source intact for the next pass.
+// Posterior placement convergence, and the anti-entropy loop that drives
+// it. One pass, converge, is the router's only placement procedure: index
+// each source shard, look up each posterior's ring owner, and re-drive
+// every misplaced one through the ack-before-delete transfer protocol
+// (migrate.go). Membership changes and repair sweeps differ only in the
+// shards they pass as sources:
 //
-// Sweeps serialize with admin membership changes under adminMu, so a
-// repair can never race a migration on ring generations. Draining and
-// drained shards are fenced on both sides: never a source (the drain owns
-// its own migration) and never a destination (they own no ring arcs, and
-// a defensive check skips them even if a stale ring says otherwise).
+//   - an add, a reactivation, and every repair sweep pass every live
+//     member not fenced by a drain or removal (liveSources);
+//   - a drain or a drain-mode removal passes just the departing shard,
+//     which owns no arcs under the fenced ring, so all its holdings move.
+//
+// The periodic sweep re-drives what goes wrong between membership
+// changes: a transfer that failed (destination down mid-stream, import
+// rejected, source briefly unreachable) strands its posterior on a shard
+// the ring does not map it to, and a shard that crashed and rejoined
+// holds (and misses) posteriors the ring reassigned while it was away. The pass is
+// idempotent and convergent — running it twice is merely wasteful, and
+// any interrupted transfer leaves the source intact for the next pass.
+//
+// Passes serialize under adminMu, so two can never race on ring
+// generations. Draining and drained shards are fenced on both sides of a
+// sweep: never a source (the drain owns its own pass) and never a
+// destination (they own no ring arcs, and a defensive check skips them
+// even if a stale ring says otherwise).
 
 import (
 	"context"
@@ -26,6 +32,7 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phmse/internal/encode"
@@ -93,16 +100,14 @@ func (rt *Router) kickRepair() {
 func (rt *Router) RepairNow(ctx context.Context) encode.RepairReport {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
-	rep := rt.repairPass(ctx)
-	rt.repairSweeps.Add(1)
-	rt.repairRepaired.Add(int64(rep.Repaired))
-	rt.repairFailed.Add(int64(rep.Failed))
-	rt.repairSkipped.Add(int64(rep.Skipped))
+	t := rt.converge(ctx, rt.currentRing(), rt.liveSources())
+	rt.repair.record(t)
+	rep := encode.RepairReport{Scanned: t.scanned, Repaired: t.moved, Failed: t.failed, Skipped: t.skipped, Bytes: t.bytes}
 	if rep.Repaired > 0 || rep.Failed > 0 {
 		rt.aud.append(encode.AuditEntry{
 			Op:       "repair",
 			Origin:   rt.cfg.ReplicaID,
-			Outcome:  repairOutcome(rep),
+			Outcome:  passOutcome(rep.Failed),
 			Migrated: rep.Repaired,
 			Failed:   rep.Failed,
 		})
@@ -110,74 +115,92 @@ func (rt *Router) RepairNow(ctx context.Context) encode.RepairReport {
 	return rep
 }
 
-func repairOutcome(rep encode.RepairReport) string {
-	if rep.Failed > 0 {
+// tally is what one convergence pass did: posteriors indexed, moved to
+// their owner (destination acknowledged, source deleted), failed (left
+// intact on the source; a failed shard index counts once), and skipped
+// (no routing key, no owner, or a fenced destination), plus bytes moved.
+type tally struct {
+	scanned, moved, failed, skipped int
+	bytes                           int64
+}
+
+// passOutcome condenses a pass with the given failure count for the
+// audit log.
+func passOutcome(failed int) string {
+	if failed > 0 {
 		return "partial"
 	}
 	return "ok"
 }
 
-// repairPass is one sweep body, run under adminMu.
-func (rt *Router) repairPass(ctx context.Context) encode.RepairReport {
-	rep := encode.RepairReport{}
-	ring := rt.currentRing()
-	if ring == nil || len(ring.points) == 0 {
-		return rep // no owners to converge toward
-	}
+// passCounters accumulates tallies for /metrics: one set for membership
+// passes, one for repair sweeps.
+type passCounters struct {
+	passes, moved, failed, skipped, bytes atomic.Int64
+}
 
-	// Sources: every live member not fenced by a drain or removal. A
-	// breaker-open shard still answers its transfer endpoints (they are
-	// not live v1 traffic), so it stays a valid source — its holdings
-	// belong elsewhere while it owns no arcs.
+func (c *passCounters) record(t tally) {
+	c.passes.Add(1)
+	c.moved.Add(int64(t.moved))
+	c.failed.Add(int64(t.failed))
+	c.skipped.Add(int64(t.skipped))
+	c.bytes.Add(t.bytes)
+}
+
+// liveSources is the sweep source rule: every live member not fenced by
+// a drain or removal. A breaker-open shard still answers its transfer
+// endpoints (they are not live v1 traffic), so it stays a valid source —
+// its holdings belong elsewhere while it owns no arcs.
+func (rt *Router) liveSources() []*shard {
 	var sources []*shard
 	for _, sh := range rt.shardList() {
-		if !sh.isAlive() || sh.drainState() != "" {
-			continue
-		}
 		sh.mu.Lock()
-		removed := sh.removed
+		ok := sh.alive && sh.drain == "" && !sh.removed
 		sh.mu.Unlock()
-		if !removed {
+		if ok {
 			sources = append(sources, sh)
 		}
 	}
+	return sources
+}
 
-	// Bounded transfer concurrency: one semaphore across the whole pass,
-	// so a wide sweep cannot dogpile the cluster with parallel streams.
+// converge is one placement pass, run under adminMu: every posterior held
+// by sources whose owner under r is another shard is transferred there.
+// Transfers fan out under one RepairConcurrency semaphore across the whole
+// pass, so a wide pass cannot dogpile the cluster with parallel streams.
+func (rt *Router) converge(ctx context.Context, r *ring, sources []*shard) tally {
+	var t tally
 	sem := make(chan struct{}, rt.cfg.RepairConcurrency)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards rep
+	var mu sync.Mutex // guards t once transfers are in flight
+	count := func(n *int) {
+		mu.Lock()
+		*n++
+		mu.Unlock()
+	}
 
 	for _, src := range sources {
 		idx, err := rt.fetchPosteriorIndex(ctx, src, "")
 		if err != nil {
-			log.Printf("phmse-router: repair: indexing %s: %v", src.name, err)
-			mu.Lock()
-			rep.Failed++
-			mu.Unlock()
+			log.Printf("phmse-router: converge: indexing %s: %v", src.name, err)
+			count(&t.failed)
 			continue
 		}
 		for _, info := range idx.Posteriors {
-			mu.Lock()
-			rep.Scanned++
-			mu.Unlock()
+			count(&t.scanned)
 			if info.TopologyHash == "" {
-				mu.Lock()
-				rep.Skipped++
-				mu.Unlock()
+				count(&t.skipped)
 				continue
 			}
-			dst := ring.lookup(info.TopologyHash)
-			if dst == nil || dst == src {
-				continue // correctly placed (or no owner exists)
+			dst := r.lookup(info.TopologyHash)
+			if dst == src {
+				continue // correctly placed
 			}
-			// Defensive fence: the ring excludes draining shards, but a
-			// drain that started after this ring was captured must never
-			// become a repair destination.
-			if dst.drainState() != "" || !dst.isAlive() {
-				mu.Lock()
-				rep.Skipped++
-				mu.Unlock()
+			// No owner (empty ring), or a defensive fence: the ring
+			// excludes draining shards, but a drain that started after this
+			// ring was captured must never become a destination.
+			if dst == nil || dst.drainState() != "" || !dst.isAlive() {
+				count(&t.skipped)
 				continue
 			}
 			wg.Add(1)
@@ -186,22 +209,20 @@ func (rt *Router) repairPass(ctx context.Context) encode.RepairReport {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				if err := rt.transferPosterior(ctx, src, dst, info); err != nil {
-					log.Printf("phmse-router: repair: re-driving %s (%s -> %s): %v",
+					log.Printf("phmse-router: converge: moving %s (%s -> %s): %v",
 						info.Job, src.name, dst.name, err)
-					mu.Lock()
-					rep.Failed++
-					mu.Unlock()
+					count(&t.failed)
 					return
 				}
 				mu.Lock()
-				rep.Repaired++
-				rep.Bytes += info.Bytes
+				t.moved++
+				t.bytes += info.Bytes
 				mu.Unlock()
 			}(src, dst, info)
 		}
 	}
 	wg.Wait()
-	return rep
+	return t
 }
 
 func (rt *Router) handleAdminRepair(w http.ResponseWriter, r *http.Request) {

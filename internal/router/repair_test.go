@@ -18,7 +18,10 @@ import (
 	"time"
 
 	"phmse/internal/client"
+	"phmse/internal/constraint"
 	"phmse/internal/encode"
+	"phmse/internal/geom"
+	"phmse/internal/molecule"
 )
 
 // manualRepairCluster is a cluster whose sweeps run only via RepairNow.
@@ -156,8 +159,8 @@ func TestRepairMovesStrandedPosterior(t *testing.T) {
 }
 
 // TestRepairFencesDrainedSource: a drained shard is never a repair
-// source — its stranded holdings stay put — and reactivating it hands
-// them back to the next sweep.
+// source — its stranded holdings stay put — and reactivating it lifts
+// the fence, so its own convergence pass re-drives them.
 func TestRepairFencesDrainedSource(t *testing.T) {
 	cl := manualRepairCluster(t, 2)
 	ctx := context.Background()
@@ -181,14 +184,18 @@ func TestRepairFencesDrainedSource(t *testing.T) {
 		t.Fatal("repair moved a posterior off a drained shard")
 	}
 
-	// Reactivation lifts the fence; the next sweep re-drives the copy to
-	// its ring owner.
-	if _, err := cl.rt.addShard(ctx, wrong.url()); err != nil {
+	// Reactivation lifts the fence; its convergence pass re-drives the
+	// copy to its ring owner, so the next sweep has nothing left to do.
+	add, err := cl.rt.addShard(ctx, wrong.url())
+	if err != nil {
 		t.Fatalf("reactivating: %v", err)
 	}
+	if add.Migration.Migrated != 1 || add.Migration.Failed != 0 {
+		t.Fatalf("reactivation pass = %+v, want the copy re-driven", add.Migration)
+	}
 	rep = cl.rt.RepairNow(ctx)
-	if rep.Repaired != 1 || rep.Failed != 0 {
-		t.Fatalf("post-reactivation sweep = %+v, want the copy re-driven", rep)
+	if rep.Repaired != 0 || rep.Failed != 0 {
+		t.Fatalf("post-reactivation sweep = %+v, want nothing left to move", rep)
 	}
 	if !holdsJob(t, owner, st.ID) || holdsJob(t, wrong, st.ID) {
 		t.Fatal("posterior not re-driven to its owner after reactivation")
@@ -216,6 +223,107 @@ func TestRepairAfterDrainIsIdempotent(t *testing.T) {
 	sweep := cl.rt.RepairNow(ctx)
 	if sweep.Repaired != 0 || sweep.Failed != 0 {
 		t.Fatalf("sweep after clean drain = %+v, want nothing to do", sweep)
+	}
+}
+
+// topologyWhere returns a cheap helix variant whose ring placement
+// satisfies pred. Adding one distance measurement to a fixed small helix
+// changes the topology hash, so each atom pair yields a distinct,
+// equally cheap candidate key.
+func topologyWhere(t *testing.T, pred func(*molecule.Problem) bool) *molecule.Problem {
+	t.Helper()
+	base := helix(2)
+	n := len(base.Atoms)
+	for i := 0; i < n; i++ {
+		for j := i + 2; j < n; j++ {
+			cons := append([]constraint.Constraint(nil), base.Constraints...)
+			d := geom.Dist(base.Atoms[i].Pos, base.Atoms[j].Pos)
+			cons = append(cons, constraint.Distance{I: i, J: j, Target: d, Sigma: 0.5})
+			cand := &molecule.Problem{Name: base.Name, Atoms: base.Atoms, Constraints: cons, Tree: base.Tree}
+			if pred(cand) {
+				return cand
+			}
+		}
+	}
+	t.Fatal("no candidate topology has the wanted ring placement")
+	return nil
+}
+
+// spareBackend starts a daemon the router does not know yet, for a grow.
+func spareBackend(t *testing.T) *backend {
+	t.Helper()
+	b := &backend{name: "s3", dir: t.TempDir()}
+	b.start(t)
+	t.Cleanup(b.stop)
+	return b
+}
+
+// TestGrowReDrivesStrandedPosterior: an add's convergence pass re-drives
+// every misplaced posterior it finds — one stranded on a non-owner, on
+// an arc the grow does not remap, goes home in the add itself.
+func TestGrowReDrivesStrandedPosterior(t *testing.T) {
+	cl := manualRepairCluster(t, 2)
+	ctx := context.Background()
+	b1, b2, b3 := cl.backends[0], cl.backends[1], spareBackend(t)
+	p := topologyWhere(t, func(p *molecule.Problem) bool {
+		return expectOwner(cl, p, b1, b2) == expectOwner(cl, p, b1, b2, b3)
+	})
+	st := cl.submit(t, p, keptParams())
+	cl.waitDone(t, st.ID)
+	owner := cl.byInstance(t, st.ID)
+	wrong := other(t, cl, owner)
+	if owner.url() != expectOwner(cl, p, b1, b2) {
+		t.Fatalf("job ran on %s, ring places its key on %s", owner.url(), expectOwner(cl, p, b1, b2))
+	}
+	strandPosterior(t, owner, wrong, st.ID)
+
+	resp, err := cl.rt.addShard(ctx, b3.url())
+	if err != nil {
+		t.Fatalf("growing: %v", err)
+	}
+	if resp.Migration.Migrated != 1 || resp.Migration.Failed != 0 {
+		t.Fatalf("grow pass = %+v, want the stranded copy re-driven", resp.Migration)
+	}
+	if !holdsJob(t, owner, st.ID) || holdsJob(t, wrong, st.ID) || holdsJob(t, b3, st.ID) {
+		t.Fatal("posterior not on exactly its ring owner after the grow")
+	}
+}
+
+// TestGrowFencesDrainedSource: an add's pass uses the sweep source rule,
+// so a posterior stranded on a drained shard stays put even when the add
+// remaps its key — the same fence TestRepairFencesDrainedSource pins for
+// sweeps.
+func TestGrowFencesDrainedSource(t *testing.T) {
+	cl := manualRepairCluster(t, 2)
+	ctx := context.Background()
+	b1, b2, b3 := cl.backends[0], cl.backends[1], spareBackend(t)
+	// After the drain the ring is {owner}; the add must move the key to b3.
+	p := topologyWhere(t, func(p *molecule.Problem) bool {
+		owner := b1
+		if expectOwner(cl, p, b1, b2) == b2.url() {
+			owner = b2
+		}
+		return expectOwner(cl, p, owner, b3) == b3.url()
+	})
+	st := cl.submit(t, p, keptParams())
+	cl.waitDone(t, st.ID)
+	owner := cl.byInstance(t, st.ID)
+	wrong := other(t, cl, owner)
+
+	if rep := cl.rt.drainShard(ctx, cl.rt.findShard(wrong.url()), time.Second); rep.Migration.Failed != 0 {
+		t.Fatalf("drain = %+v, want clean", rep)
+	}
+	strandPosterior(t, owner, wrong, st.ID)
+
+	resp, err := cl.rt.addShard(ctx, b3.url())
+	if err != nil {
+		t.Fatalf("growing: %v", err)
+	}
+	if resp.Migration.Migrated != 0 || resp.Migration.Failed != 0 {
+		t.Fatalf("grow pass = %+v, want the drained holder untouched", resp.Migration)
+	}
+	if !holdsJob(t, wrong, st.ID) || holdsJob(t, b3, st.ID) {
+		t.Fatal("grow moved a posterior off a drained shard")
 	}
 }
 

@@ -24,9 +24,10 @@ type ringPoint struct {
 }
 
 // hashPoint positions a routing key or virtual-node label on the ring.
-// It delegates to encode.KeyHash — the same function the migration
-// arc-diff uses — because a key the router and the diff place differently
-// would migrate to (or stay on) the wrong shard.
+// It delegates to encode.KeyHash, the wire-level placement contract, so
+// any oracle that rebuilds the ring outside the router (tests, the
+// benchmark's owner check) places every key exactly where the router
+// looks for it.
 func hashPoint(s string) uint64 { return encode.KeyHash(s) }
 
 // buildRing places vnodes virtual points per shard. The vnode label hashes
@@ -41,16 +42,6 @@ func buildRing(shards []*shard, vnodes int) *ring {
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r
-}
-
-// encodePoints exports the ring's virtual nodes in the wire-layer form
-// the arc-diff helpers consume.
-func (r *ring) encodePoints() []encode.RingPoint {
-	pts := make([]encode.RingPoint, len(r.points))
-	for i, p := range r.points {
-		pts[i] = encode.RingPoint{Hash: p.hash, Owner: p.sh.name}
-	}
-	return pts
 }
 
 // lookup returns the shard owning key: the first point at or clockwise of

@@ -32,8 +32,8 @@
 // Cluster membership is elastic: the /admin/v1 control plane (see
 // admin.go) adds, drains, and removes shards at runtime, mutating the
 // ring under the same rebuild serialization health transitions use, and
-// every membership change runs a posterior migration pass (migrate.go) so
-// warm-start state follows its keys to their new owners.
+// every membership change runs the repair sweeper's convergence pass
+// (repair.go) so warm-start state follows its keys to their new owners.
 package router
 
 import (
@@ -104,7 +104,7 @@ type Config struct {
 	// Per-request ?deadline_ms= overrides it.
 	DrainDeadline time.Duration
 	// MigrateTimeout bounds one posterior transfer (export + import +
-	// delete) during a migration pass (default 10s).
+	// delete) in any convergence pass (default 10s).
 	MigrateTimeout time.Duration
 
 	// RepairInterval is the anti-entropy repair sweep period (default
@@ -112,11 +112,12 @@ type Config struct {
 	// shard's posteriors, diffs holdings against current ring ownership,
 	// and re-drives misplaced posteriors through the transfer protocol.
 	// The actual period is jittered ±20% so multiple routers do not
-	// sweep in lockstep, and a migration pass that reported failures
+	// sweep in lockstep, and a membership pass that reported failures
 	// kicks an immediate sweep.
 	RepairInterval time.Duration
-	// RepairConcurrency bounds the posterior transfers one repair sweep
-	// runs at once (default 2).
+	// RepairConcurrency bounds the posterior transfers one convergence
+	// pass runs at once (default 2): repair sweeps and membership passes
+	// alike, drains included.
 	RepairConcurrency int
 
 	// BreakerFailures is the consecutive live-forward failures (transport
@@ -328,14 +329,12 @@ type Router struct {
 	noShard, listFanouts       atomic.Int64
 	saturated, breakerRefused  atomic.Int64
 
-	migrPasses, migrMigrated, migrFailed, migrSkipped, migrBytes atomic.Int64
-
-	// Anti-entropy repair state (repair.go): the kick channel wakes the
-	// sweeper early after a migration pass reported failures.
-	repairKick chan struct{}
-	repairDone chan struct{}
-
-	repairSweeps, repairRepaired, repairFailed, repairSkipped atomic.Int64
+	// Convergence passes (repair.go), tallied separately for membership
+	// changes (migr) and repair sweeps (repair). The kick channel wakes
+	// the sweeper early after a membership pass reported failures.
+	migr, repair passCounters
+	repairKick   chan struct{}
+	repairDone   chan struct{}
 
 	// cnode is the replicated-control-plane node (cluster.go): the
 	// epoch-stamped membership document and its gossip loop.
